@@ -26,6 +26,7 @@ struct Coordinator::Conn {
   bool Hello = false;   ///< Handshake complete.
   bool Waiting = false; ///< Has an unanswered need_work.
   uint64_t LeaseId = 0; ///< Nonzero while holding a lease.
+  bool PeerClosed = false; ///< EOF read; its last frames are being handled.
   uint64_t LastSeenMs = 0;
   size_t JoinerIndex = ~size_t(0);
   bool Dead = false;
@@ -133,25 +134,19 @@ search::SearchResult Coordinator::run() {
     serveWaiters();
   }
 
-  // Tell every joiner the run is over, then hang up.
-  std::string Done = encodeFrame(doneFrame());
-  for (Conn &C : Conns) {
-    if (!C.Dead && C.Fd >= 0)
-      sendAll(C.Fd, Done);
-    closeFd(C.Fd);
-    C.Fd = -1;
-    C.Dead = true;
-  }
+  hangUp();
 
   search::SearchResult Result;
   Stats.DistinctStates = Seen.size();
   Stats.DistinctTerminalStates = Terminal.size();
   Stats.Completed = FinishedCompleted;
+  // The final snapshot first: it copies the bug map, which the result
+  // then takes.
+  if (!Interrupted && Opts.Observer)
+    emitSnapshot(/*Final=*/true);
   Result.Stats = Stats;
   Result.Interrupted = Interrupted;
   Result.Bugs = search::takeCanonicalBugs(std::move(Bugs));
-  if (!Interrupted && Opts.Observer)
-    emitSnapshot(/*Final=*/true);
   if (Opts.Metrics)
     Opts.Metrics->restore(Master);
   return Result;
@@ -192,10 +187,9 @@ void Coordinator::pollOnce(uint64_t TimeoutMillis) {
       continue;
     Conn &C = Conns[I];
     std::string Bytes;
-    if (!recvSome(C.Fd, Bytes)) {
-      dropConn(I, /*Revoke=*/true);
-      continue;
-    }
+    // Frames that arrived together with an EOF still count (a final
+    // result is merged), but a closing joiner is leased nothing more.
+    C.PeerClosed = !recvSome(C.Fd, Bytes);
     C.Reader.feed(Bytes.data(), Bytes.size());
     C.LastSeenMs = nowMillis();
     while (true) {
@@ -212,6 +206,8 @@ void Coordinator::pollOnce(uint64_t TimeoutMillis) {
       if (Conns[I].Dead)
         break;
     }
+    if (Conns[I].PeerClosed)
+      dropConn(I, /*Revoke=*/true);
   }
 
   // Compact fully-dead connection slots from the tail (live indices held
@@ -254,6 +250,8 @@ void Coordinator::handleFrame(Conn &C, const session::JsonValue &V) {
       ++Master.Counters[static_cast<size_t>(obs::Counter::DistReconnects)];
     sendAll(C.Fd, encodeFrame(helloOkFrame(Opts.Meta, Opts.HeartbeatMillis,
                                            Opts.RevokeMillis)));
+    if (Finished)
+      sayDone(C); // A joiner (re)connecting as the run ends.
     return;
   }
 
@@ -261,14 +259,13 @@ void Coordinator::handleFrame(Conn &C, const session::JsonValue &V) {
     return; // LastSeen already refreshed.
 
   if (Kind == "need_work") {
-    if (C.LeaseId != 0) {
-      // Protocol violation: asking while holding a lease.
-      size_t Self = static_cast<size_t>(&C - Conns.data());
-      dropConn(Self, /*Revoke=*/true);
-      return;
+    // Idempotent: every result already implies the next request, so a
+    // joiner that asks anyway (protocol-1 joiners before this rule asked
+    // after every result) changes nothing — least of all its lease.
+    if (C.LeaseId == 0) {
+      C.Waiting = true;
+      maybeIssue(C);
     }
-    C.Waiting = true;
-    maybeIssue(C);
     return;
   }
 
@@ -290,6 +287,43 @@ void Coordinator::handleFrame(Conn &C, const session::JsonValue &V) {
   // Unknown frame kind from a versioned peer: drop it.
   size_t Self = static_cast<size_t>(&C - Conns.data());
   dropConn(Self, /*Revoke=*/true);
+}
+
+void Coordinator::sayDone(Conn &C) {
+  sendAll(C.Fd, encodeFrame(doneFrame()));
+  shutdownWrite(C.Fd);
+}
+
+void Coordinator::hangUp() {
+  // Tell every joiner the run is over, half-close, and drain until each
+  // peer closes: closing outright with joiner frames still unread would
+  // reset the connection, which can destroy `done` before the joiner
+  // reads it. Joiners close as soon as they read `done` (or, if a lease
+  // was revoked under them, when it returns), so the drain is bounded
+  // by the revocation timeout, the longest the coordinator ever waits
+  // on a joiner. Hellos arriving meanwhile are answered with `done`
+  // (handleFrame), and the listener closes last, so a later connect is
+  // refused outright instead of waiting unanswered in the backlog.
+  for (Conn &C : Conns)
+    if (!C.Dead && C.Hello)
+      sayDone(C);
+  uint64_t Deadline = nowMillis() + Opts.RevokeMillis;
+  while (true) {
+    bool Live = false;
+    for (const Conn &C : Conns)
+      Live = Live || !C.Dead;
+    uint64_t Now = nowMillis();
+    if (!Live || Now >= Deadline)
+      break;
+    pollOnce(Deadline - Now);
+  }
+  for (Conn &C : Conns) {
+    closeFd(C.Fd);
+    C.Fd = -1;
+    C.Dead = true;
+  }
+  closeFd(ListenFd);
+  ListenFd = -1;
 }
 
 void Coordinator::dropConn(size_t Index, bool Revoke) {
@@ -321,7 +355,8 @@ void Coordinator::dropConn(size_t Index, bool Revoke) {
 }
 
 void Coordinator::maybeIssue(Conn &C) {
-  if (Finished || StopLeasing || !C.Waiting || C.LeaseId != 0)
+  if (Finished || StopLeasing || !C.Waiting || C.LeaseId != 0 ||
+      C.PeerClosed)
     return;
   if (!Seeded) {
     // The frontier bootstrap: a roots lease runs the executor's root
@@ -399,6 +434,8 @@ void Coordinator::reconstructCacheCounters(obs::MetricsSnapshot &Delta,
     for (uint64_t D : Digests)
       if (Global.insert(D).second)
         ++New;
+    if (Probes == 0)
+      return; // Unmetered (ICB_NO_METRICS): the counters stay zero.
     Delta.Counters[M] = New;
     Delta.Counters[H] = Probes - New;
   };

@@ -90,11 +90,13 @@ public:
   /// Binds and listens. False with \p Error on failure.
   bool start(std::string *Error);
 
-  /// The bound port (after start); resolves a port-0 bind.
+  /// The bound port (after start, until run() returns); resolves a
+  /// port-0 bind.
   uint16_t port() const;
 
   /// Serves until the frontier is exhausted, a limit trips, or the
-  /// observer requests a stop. Returns the merged SearchResult.
+  /// observer requests a stop, then sends every joiner `done` and closes
+  /// the listener. Returns the merged SearchResult.
   search::SearchResult run();
 
   const std::vector<JoinerStats> &joinerStats() const { return Joiners; }
@@ -106,6 +108,8 @@ private:
   void pollOnce(uint64_t TimeoutMillis);
   void handleFrame(Conn &C, const session::JsonValue &V);
   void dropConn(size_t Index, bool Revoke);
+  void sayDone(Conn &C);
+  void hangUp();
   void maybeIssue(Conn &C);
   void issueLease(Conn &C, LeaseRequest Req);
   void mergeResult(Conn &C, LeaseResult &&Res);

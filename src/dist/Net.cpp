@@ -12,6 +12,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -140,11 +141,9 @@ bool sendAll(int Fd, const std::string &Bytes) {
         continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // Nonblocking coordinator side: wait for writability briefly.
-        fd_set W;
-        FD_ZERO(&W);
-        FD_SET(Fd, &W);
-        timeval Tv{1, 0};
-        if (select(Fd + 1, nullptr, &W, nullptr, &Tv) > 0)
+        // poll, not select: FD_SET is undefined for fds >= FD_SETSIZE.
+        pollfd P{Fd, POLLOUT, 0};
+        if (poll(&P, 1, 1000) > 0)
           continue;
       }
       return false;
@@ -165,7 +164,7 @@ bool recvSome(int Fd, std::string &Out) {
       return true;
     }
     if (N == 0)
-      return false; // Orderly EOF.
+      return false; // Orderly EOF; what was read before it stays in Out.
     if (errno == EINTR)
       continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK)
@@ -177,6 +176,11 @@ bool recvSome(int Fd, std::string &Out) {
 void closeFd(int Fd) {
   if (Fd >= 0)
     close(Fd);
+}
+
+void shutdownWrite(int Fd) {
+  if (Fd >= 0)
+    shutdown(Fd, SHUT_WR);
 }
 
 bool setNonBlocking(int Fd) {

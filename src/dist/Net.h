@@ -52,9 +52,18 @@ bool sendAll(int Fd, const std::string &Bytes);
 
 /// Reads whatever is available into \p Out (appending). Returns false on
 /// EOF or a hard error, true otherwise (including "nothing available").
+/// Bytes read before the EOF are appended either way: a peer's last frame
+/// often arrives together with its FIN, so callers consume \p Out before
+/// acting on a false return.
 bool recvSome(int Fd, std::string &Out);
 
 void closeFd(int Fd);
+
+/// Half-closes \p Fd for writing (sends FIN): the peer reads everything
+/// sent so far, then EOF, while this side can still drain what the peer
+/// sends. Closing outright with unread input would reset the connection
+/// and could destroy the peer's copy of the last frame.
+void shutdownWrite(int Fd);
 
 /// Marks \p Fd nonblocking (accepted coordinator connections).
 bool setNonBlocking(int Fd);

@@ -18,6 +18,11 @@
 ///   result {id, ...}             done
 ///   heartbeat
 ///
+/// A joiner sends need_work once per connection, after hello_ok: every
+/// result also asks for the next lease, and a need_work while holding a
+/// lease is ignored. Joiners that ask after every result therefore
+/// interoperate both ways without a ProtocolVersion bump.
+///
 /// Payload encodings are the checkpoint dialect (session/Serial.h), so
 /// the wire is versioned by exactly two numbers: ProtocolVersion (the
 /// frame vocabulary) and the checkpoint format version (the payload

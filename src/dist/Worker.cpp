@@ -8,9 +8,13 @@
 #include "dist/Net.h"
 #include "dist/Wire.h"
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <thread>
+#include <unistd.h>
 
 using namespace icb;
 using namespace icb::dist;
@@ -28,6 +32,7 @@ uint64_t nowMillis() {
 struct Session {
   int Fd = -1;
   FrameReader Reader;
+  bool Eof = false; ///< The coordinator closed its side.
 
   ~Session() { closeFd(Fd); }
 
@@ -35,29 +40,61 @@ struct Session {
     return sendAll(Fd, encodeFrame(Frame));
   }
 
-  /// Waits up to \p TimeoutMillis for one frame. Returns Ok/NeedMore
-  /// (timeout)/Error (EOF or protocol garbage).
-  DecodeStatus recvFrame(session::JsonValue &Out, uint64_t TimeoutMillis) {
+  /// Waits up to \p TimeoutMillis for one frame, or until \p WakeFd (when
+  /// not -1) is readable. Returns Ok, NeedMore (timeout or wake-up), or
+  /// Error (EOF or protocol garbage). Frames that arrived with the EOF
+  /// are still returned first.
+  DecodeStatus recvFrame(session::JsonValue &Out, uint64_t TimeoutMillis,
+                         int WakeFd = -1) {
     uint64_t Deadline = nowMillis() + TimeoutMillis;
     while (true) {
       std::string Error;
       DecodeStatus S = Reader.next(Out, &Error);
       if (S != DecodeStatus::NeedMore)
         return S;
+      if (Eof)
+        return DecodeStatus::Error;
       uint64_t Now = nowMillis();
       if (Now >= Deadline)
         return DecodeStatus::NeedMore;
-      pollfd P{Fd, POLLIN, 0};
-      int N = ::poll(&P, 1, static_cast<int>(Deadline - Now));
+      pollfd P[2] = {{Fd, POLLIN, 0}, {WakeFd, POLLIN, 0}};
+      int N = ::poll(P, WakeFd >= 0 ? 2 : 1, static_cast<int>(Deadline - Now));
+      if (N < 0 && errno == EINTR)
+        continue;
       if (N < 0)
         return DecodeStatus::Error;
       if (N == 0)
         return DecodeStatus::NeedMore;
-      std::string Bytes;
-      if (!recvSome(Fd, Bytes))
-        return DecodeStatus::Error;
-      Reader.feed(Bytes.data(), Bytes.size());
+      if (P[0].revents) {
+        std::string Bytes;
+        Eof = !recvSome(Fd, Bytes);
+        Reader.feed(Bytes.data(), Bytes.size());
+        continue;
+      }
+      return DecodeStatus::NeedMore; // Woken.
     }
+  }
+};
+
+/// The lease thread's "result ready" signal, pollable beside the socket.
+struct ResultSignal {
+  int Fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+
+  ResultSignal() = default;
+  ResultSignal(const ResultSignal &) = delete;
+  ResultSignal &operator=(const ResultSignal &) = delete;
+  ~ResultSignal() { closeFd(Fd); }
+
+  void signal() {
+    uint64_t One = 1;
+    ssize_t Rc = ::write(Fd, &One, sizeof(One));
+    (void)Rc; // Cannot fail below the counter's 2^64 - 2 ceiling.
+  }
+
+  void reset() {
+    uint64_t Count = 0;
+    ssize_t Rc = ::read(Fd, &Count, sizeof(Count));
+    (void)Rc; // EAGAIN when already clear.
   }
 };
 
@@ -67,6 +104,11 @@ int Worker::run() {
   bool EverConnected = false;
   unsigned Attempt = 0;
   uint64_t HeartbeatMillis = 1000;
+  ResultSignal Wake;
+  if (Wake.Fd < 0) {
+    ErrorMsg = "eventfd: " + std::string(std::strerror(errno));
+    return WorkerNetFail;
+  }
 
   while (true) {
     // --- Connect (capped exponential backoff) --------------------------
@@ -128,13 +170,11 @@ int Worker::run() {
     Attempt = 0;
 
     // --- Lease loop ----------------------------------------------------
-    bool Reconnect = false;
-    while (!Reconnect) {
-      if (!S.send(needWorkFrame())) {
-        Reconnect = true;
-        break;
-      }
-
+    // One need_work per connection: the coordinator reads every result as
+    // the next request, so asking again would only be a duplicate.
+    if (!S.send(needWorkFrame()))
+      continue;
+    while (true) {
       // Wait for a lease (or done), heartbeating so an idle joiner at the
       // bound barrier is not revoked.
       LeaseRequest Req;
@@ -142,15 +182,11 @@ int Worker::run() {
       bool HaveLease = false;
       while (!HaveLease) {
         DecodeStatus W = S.recvFrame(Frame, HeartbeatMillis);
-        if (W == DecodeStatus::Error) {
-          Reconnect = true;
+        if (W == DecodeStatus::Error)
           break;
-        }
         if (W == DecodeStatus::NeedMore) {
-          if (!S.send(heartbeatFrame())) {
-            Reconnect = true;
+          if (!S.send(heartbeatFrame()))
             break;
-          }
           continue;
         }
         Kind = frameKind(Frame);
@@ -161,35 +197,24 @@ int Worker::run() {
           break;
         }
         // Anything else is protocol noise; drop the connection.
-        Reconnect = true;
         break;
       }
       if (!HaveLease)
         break;
 
-      // Execute on a separate thread; keep the protocol loop heartbeating
-      // so a long lease does not look like a dead joiner.
+      // Execute on a separate thread, which signals Wake when the result
+      // is ready; meanwhile keep the protocol loop heartbeating so a long
+      // lease does not look like a dead joiner.
       LeaseResult Res;
       std::atomic<bool> ResultReady{false};
       std::thread Exec([&] {
         Res = Opts.Runner(Req);
         ResultReady.store(true, std::memory_order_release);
+        Wake.signal();
       });
       bool Lost = false, DoneSeen = false;
-      // Poll short so a fast lease is delivered promptly (the socket is
-      // quiet while the lease runs, so the poll timeout is the latency
-      // floor); heartbeat on a deadline, not per wakeup.
       uint64_t NextBeat = nowMillis() + HeartbeatMillis / 2;
       while (!ResultReady.load(std::memory_order_acquire)) {
-        DecodeStatus W = S.recvFrame(Frame, 5);
-        if (W == DecodeStatus::Error) {
-          Lost = true;
-          break;
-        }
-        if (W == DecodeStatus::Ok && frameKind(Frame) == "done") {
-          DoneSeen = true;
-          break;
-        }
         uint64_t Now = nowMillis();
         if (Now >= NextBeat) {
           if (!S.send(heartbeatFrame())) {
@@ -198,21 +223,28 @@ int Worker::run() {
           }
           NextBeat = Now + HeartbeatMillis / 2;
         }
+        DecodeStatus W = S.recvFrame(Frame, NextBeat - Now, Wake.Fd);
+        if (W == DecodeStatus::Error) {
+          Lost = true;
+          break;
+        }
+        if (W == DecodeStatus::Ok && frameKind(Frame) == "done") {
+          DoneSeen = true;
+          break;
+        }
       }
       Exec.join();
+      Wake.reset();
       if (DoneSeen)
         return WorkerDone; // Run ended under us; the result is moot.
-      if (Lost) {
-        // The coordinator revoked this lease on our EOF — the result must
-        // be discarded, never delivered on a new connection.
-        Reconnect = true;
+      // On a lost connection the coordinator revoked this lease on our
+      // EOF — the result must be discarded, never delivered on a new
+      // connection.
+      if (Lost)
         break;
-      }
       ++LeaseCount;
-      if (!S.send(resultFrame(LeaseId, Res))) {
-        Reconnect = true;
+      if (!S.send(resultFrame(LeaseId, Res)))
         break;
-      }
     }
     // Fall through to reconnect (fresh hello, marked as such).
   }

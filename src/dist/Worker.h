@@ -6,9 +6,11 @@
 ///
 /// \file
 /// The joiner side of the distributed checker (`icb_check --join`): the
-/// connect / hello / need_work / result protocol loop, reconnect with
+/// connect / hello / need_work / result protocol loop (one need_work per
+/// connection; each result asks for the next lease), reconnect with
 /// capped exponential backoff, and heartbeats while a lease executes on a
-/// separate thread. Execution itself is behind the LeaseRunner seam
+/// separate thread, which wakes the loop through an eventfd as soon as
+/// its result is ready. Execution itself is behind the LeaseRunner seam
 /// (dist/Protocol.h) — the tools plug in the real engines, the tests plug
 /// in fakes.
 ///

@@ -7,11 +7,15 @@
 #include "session/Json.h"
 #include "support/Format.h"
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #ifdef _WIN32
 #include <direct.h>
+#include <process.h>
+#define getpid _getpid
 #else
 #include <sys/stat.h>
 #include <unistd.h>
@@ -537,8 +541,22 @@ bool icb::session::digestsFromHex(const std::string &Text,
 bool icb::session::atomicWriteFile(const std::string &Path,
                                    const std::string &Content,
                                    std::string *Error) {
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
+  // A temp name of this writer's own, beside the target (same file
+  // system, so the rename is atomic): two writers of one path — threads,
+  // or processes such as concurrently running tests — never write or
+  // rename each other's temp file. "x" creates exclusively; a name left
+  // by a dead process with a recycled pid is skipped.
+  static std::atomic<uint64_t> Serial{0};
+  std::string Tmp;
+  std::FILE *F = nullptr;
+  for (int Try = 0; !F && Try != 16; ++Try) {
+    Tmp = strFormat("%s.tmp.%ld.%llu", Path.c_str(),
+                    static_cast<long>(getpid()),
+                    static_cast<unsigned long long>(Serial++));
+    F = std::fopen(Tmp.c_str(), "wbx");
+    if (!F && errno != EEXIST)
+      break;
+  }
   if (!F) {
     if (Error)
       *Error = strFormat("cannot open '%s' for writing", Tmp.c_str());
@@ -565,6 +583,18 @@ bool icb::session::atomicWriteFile(const std::string &Path,
     return false;
   }
   return true;
+}
+
+void icb::session::removeStaleTempFiles(const std::string &Path) {
+  namespace fs = std::filesystem;
+  fs::path Target(Path);
+  fs::path Dir = Target.has_parent_path() ? Target.parent_path() : ".";
+  std::string Prefix = Target.filename().string() + ".tmp.";
+  std::error_code EC;
+  for (fs::directory_iterator It(Dir, EC), End; !EC && It != End;
+       It.increment(EC))
+    if (It->path().filename().string().rfind(Prefix, 0) == 0)
+      fs::remove(It->path(), EC);
 }
 
 bool icb::session::readFile(const std::string &Path, std::string &Out,

@@ -119,11 +119,19 @@ std::string digestsToHexCompact(const std::vector<uint64_t> &Digests,
 /// Decodes either hex form (plain or "*"-compact).
 bool digestsFromHex(const std::string &Text, std::vector<uint64_t> &Out);
 
-/// Durably replaces \p Path: writes Path.tmp, flushes it to disk, then
-/// renames over Path — a reader (or a resume after SIGKILL) sees either
-/// the old complete file or the new complete file, never a torn one.
+/// Durably replaces \p Path: writes a temp file unique to this call
+/// (Path.tmp.PID.N), flushes it to disk, then renames it over Path — a
+/// reader (or a resume after SIGKILL) sees either the old complete file
+/// or the new complete file, never a torn one, and concurrent writers of
+/// one path never share a temp file. A writer killed mid-write leaves
+/// its temp file behind.
 bool atomicWriteFile(const std::string &Path, const std::string &Content,
                      std::string *Error);
+
+/// Removes the temp files killed atomicWriteFile calls left for \p Path.
+/// Only for a caller that owns \p Path exclusively (a locked checkpoint
+/// directory): a live writer's temp file would go too.
+void removeStaleTempFiles(const std::string &Path);
 
 /// Reads a whole file; false (with \p Error) when unreadable.
 bool readFile(const std::string &Path, std::string &Out, std::string *Error);

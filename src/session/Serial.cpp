@@ -75,17 +75,24 @@ std::string tidsToText(const std::vector<vm::ThreadId> &Tids) {
 }
 
 bool tidsFromText(const std::string &Text, std::vector<vm::ThreadId> &Out) {
-  trace::Schedule Sched;
-  if (!trace::Schedule::parse(Text, Sched))
-    return false;
-  Out.clear();
-  Out.reserve(Sched.length());
-  for (const trace::ScheduleEntry &E : Sched.entries()) {
-    if (E.Preemption || E.ContextSwitch)
-      return false; // Plain tid lists carry no markers.
-    Out.push_back(E.Tid);
+  // Size exactly (decoded prefixes live on in frontier queues): one token
+  // per whitespace-to-token transition.
+  size_t Tokens = 0;
+  bool InToken = false;
+  for (char C : Text) {
+    bool Space = trace::isScheduleSpace(C);
+    Tokens += !Space && !InToken;
+    InToken = !Space;
   }
-  return true;
+  Out.clear();
+  Out.reserve(Tokens);
+  return trace::scanScheduleText(
+      Text, [&Out](uint32_t Tid, bool Preemption, bool Switch) {
+        if (Preemption || Switch)
+          return false; // Plain tid lists carry no markers.
+        Out.push_back(Tid);
+        return true;
+      });
 }
 
 /// A list of 64-bit values (the thread policy's variable budget) as one

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/Schedule.h"
-#include <sstream>
 
 using namespace icb::trace;
 
@@ -43,42 +42,16 @@ std::string Schedule::str() const {
 }
 
 bool Schedule::parse(const std::string &Text, Schedule &Out) {
-  // This now guards checkpoint and .icbrepro loading, so it must reject
-  // corrupt tokens cleanly rather than truncating them: each token is
-  // parsed digit-by-digit (no strtoul — that would accept "+1", " 1",
-  // and silently wrap values past ULONG_MAX) and may carry at most one
-  // trailing '*' or '^' marker.
+  // This guards checkpoint and .icbrepro loading, so it must reject
+  // corrupt tokens cleanly rather than truncating them (no strtoul — that
+  // would accept "+1", " 1", and silently wrap values past ULONG_MAX).
   Out = Schedule();
-  std::istringstream In(Text);
-  std::string Token;
-  while (In >> Token) {
-    bool Preemption = false;
-    bool Switch = false;
-    if (Token.back() == '*') {
-      Preemption = true;
-      Switch = true;
-      Token.pop_back();
-    } else if (Token.back() == '^') {
-      Switch = true;
-      Token.pop_back();
-    }
-    if (Token.empty()) {
-      Out = Schedule();
-      return false;
-    }
-    uint64_t Tid = 0;
-    for (char C : Token) {
-      if (C < '0' || C > '9') {
-        Out = Schedule();
-        return false;
-      }
-      Tid = Tid * 10 + static_cast<uint64_t>(C - '0');
-      if (Tid > UINT32_MAX) {
-        Out = Schedule();
-        return false;
-      }
-    }
-    Out.append(static_cast<uint32_t>(Tid), Preemption, Switch);
-  }
-  return true;
+  if (scanScheduleText(Text, [&Out](uint32_t Tid, bool Preemption,
+                                    bool Switch) {
+        Out.append(Tid, Preemption, Switch);
+        return true;
+      }))
+    return true;
+  Out = Schedule();
+  return false;
 }

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace icb::trace {
@@ -60,7 +61,8 @@ public:
   /// preemption and '^' a nonpreempting switch.
   std::string str() const;
 
-  /// Parses the output of str(); returns false on malformed input.
+  /// Parses the output of str(); returns false (and leaves \p Out
+  /// empty) on malformed input. The accepted language is scanScheduleText's.
   static bool parse(const std::string &Text, Schedule &Out);
 
   friend bool operator==(const Schedule &L, const Schedule &R) {
@@ -80,6 +82,61 @@ public:
 private:
   std::vector<ScheduleEntry> Entries;
 };
+
+/// Whitespace between schedule tokens: the classic locale's isspace set
+/// (' ', '\t', '\n', '\v', '\f', '\r').
+inline bool isScheduleSpace(char C) {
+  return C == ' ' || (C >= '\t' && C <= '\r');
+}
+
+/// Scans the text form of a schedule, calling
+/// \p OnEntry(Tid, Preemption, ContextSwitch) for each token in order.
+/// Tokens are whitespace-separated runs of decimal digits with at most
+/// one trailing '*' (preemption) or '^' (nonpreempting switch) marker,
+/// and values at most UINT32_MAX. Anything else — signs, hex, a bare or
+/// doubled marker, an overflowing value — fails the whole scan, never a
+/// truncated token. Returns false on malformed text or when \p OnEntry
+/// returns false.
+///
+/// This sits under every work-item, lease, result, checkpoint and
+/// .icbrepro decode, so it is a pointer scan: no stream, no locale, no
+/// per-token string.
+template <typename Fn>
+bool scanScheduleText(std::string_view Text, Fn &&OnEntry) {
+  const char *P = Text.data();
+  const char *End = P + Text.size();
+  while (true) {
+    while (P != End && isScheduleSpace(*P))
+      ++P;
+    if (P == End)
+      return true;
+    const char *Tok = P;
+    while (P != End && !isScheduleSpace(*P))
+      ++P;
+    const char *TokEnd = P;
+    bool Preemption = false;
+    bool Switch = false;
+    if (TokEnd[-1] == '*') {
+      Preemption = Switch = true;
+      --TokEnd;
+    } else if (TokEnd[-1] == '^') {
+      Switch = true;
+      --TokEnd;
+    }
+    if (Tok == TokEnd)
+      return false;
+    uint64_t Tid = 0;
+    for (const char *Q = Tok; Q != TokEnd; ++Q) {
+      if (*Q < '0' || *Q > '9')
+        return false;
+      Tid = Tid * 10 + static_cast<uint64_t>(*Q - '0');
+      if (Tid > UINT32_MAX)
+        return false;
+    }
+    if (!OnEntry(static_cast<uint32_t>(Tid), Preemption, Switch))
+      return false;
+  }
+}
 
 } // namespace icb::trace
 

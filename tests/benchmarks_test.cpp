@@ -118,6 +118,13 @@ struct CleanCase {
   std::function<vm::Program()> MakeVm;
 };
 
+// Names the engine the case runs on. Without it gtest prints the raw
+// bytes of the struct, a heap address among them, into the listed test
+// name, so the name ctest records would change from one build to the next.
+void PrintTo(const CleanCase &Case, std::ostream *OS) {
+  *OS << (Case.MakeRt ? "rt" : "vm");
+}
+
 std::vector<CleanCase> allCleanCases() {
   std::vector<CleanCase> Cases;
   for (const BenchmarkEntry &E : allBenchmarks())

@@ -26,8 +26,10 @@
 #include "testutil/ResultChecks.h"
 #include "testutil/TestPrograms.h"
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
 #include <string>
+#include <sys/socket.h>
 #include <thread>
 #include <vector>
 
@@ -139,6 +141,37 @@ TEST(Wire, FrameReaderPoisonsOnError) {
   std::string Good = encodeFrame(heartbeatFrame());
   Reader.feed(Good.data(), Good.size());
   EXPECT_EQ(Reader.next(Out, nullptr), DecodeStatus::Error);
+}
+
+//===----------------------------------------------------------------------===//
+// Sockets
+//===----------------------------------------------------------------------===//
+
+TEST(Net, RecvSomeKeepsBytesReadBeforeEof) {
+  // A peer's last frame often arrives together with its FIN. Here the
+  // frame fills recvSome's 16 KB read buffer exactly, so the read that
+  // follows it is the EOF: the call reports the closure, and the frame
+  // is still in Out, whole and decodable.
+  int Pair[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, Pair), 0);
+  JsonValue Done = doneFrame();
+  Done.set("pad", JsonValue::str(""));
+  size_t Pad = 16384 - encodeFrame(Done).size();
+  Done.set("pad", JsonValue::str(std::string(Pad, 'x')));
+  std::string Bytes = encodeFrame(Done);
+  ASSERT_EQ(Bytes.size(), 16384u);
+  ASSERT_TRUE(sendAll(Pair[0], Bytes));
+  closeFd(Pair[0]);
+
+  std::string Out;
+  EXPECT_FALSE(recvSome(Pair[1], Out));
+  ASSERT_EQ(Out, Bytes);
+  FrameReader Reader;
+  Reader.feed(Out.data(), Out.size());
+  JsonValue Frame;
+  ASSERT_EQ(Reader.next(Frame, nullptr), DecodeStatus::Ok);
+  EXPECT_EQ(frameKind(Frame), "done");
+  closeFd(Pair[1]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -440,6 +473,8 @@ struct DistRun {
   search::SearchResult Result;
   obs::MetricsSnapshot Metrics;
   std::vector<int> WorkerRcs;
+  std::vector<uint64_t> WorkerResults; ///< Results each joiner delivered.
+  std::vector<JoinerStats> Joiners;    ///< The coordinator's accounting.
 };
 
 /// Hosts an in-process coordinator and \p Joiners worker threads over
@@ -467,6 +502,7 @@ DistRun runDistributed(
 
   DistRun Out;
   Out.WorkerRcs.assign(Joiners, -1);
+  Out.WorkerResults.assign(Joiners, 0);
   std::vector<std::thread> Threads;
   std::thread Serve([&] { Out.Result = Coord.run(); });
   if (BeforeWorkers)
@@ -478,11 +514,13 @@ DistRun runDistributed(
       WO.Runner = makeRunner(Prog, Meta, JobsEach);
       Worker W(WO);
       Out.WorkerRcs[I] = W.run();
+      Out.WorkerResults[I] = W.leasesRun();
     });
   Serve.join();
   for (std::thread &T : Threads)
     T.join();
   Out.Metrics = Reg.snapshot();
+  Out.Joiners = Coord.joinerStats();
   return Out;
 }
 
@@ -565,6 +603,35 @@ TEST(DistLoopback, MatchesSequentialAcrossJoinerCounts) {
     expectIdenticalResults(Ref, D.Result);
     expectSameDeterministicMetrics(RefReg.snapshot(), D.Metrics);
   }
+}
+
+TEST(DistLoopback, HealthyRunRevokesNothing) {
+  // A result implies the next need_work, so a healthy joiner's leases
+  // each come back exactly once: nothing is revoked, nobody re-joins,
+  // and the coordinator grants one lease per result it merges.
+  vm::Program Prog = racyCounter(3);
+  session::CheckpointMeta Meta = sampleMeta();
+  obs::MetricsRegistry RefReg;
+  search::SearchResult Ref = runSequential(Prog, Meta, &RefReg);
+  canonicalizeBugs(Ref);
+
+  DistRun D = runDistributed(Prog, Meta, 2);
+  uint64_t Results = 0;
+  for (unsigned I = 0; I != 2; ++I) {
+    EXPECT_EQ(D.WorkerRcs[I], WorkerDone);
+    Results += D.WorkerResults[I];
+  }
+  EXPECT_EQ(counterOf(D.Metrics, obs::Counter::DistLeaseRevoked), 0u);
+  EXPECT_EQ(counterOf(D.Metrics, obs::Counter::DistReconnects), 0u);
+  EXPECT_GT(Results, 2u);
+  EXPECT_EQ(counterOf(D.Metrics, obs::Counter::DistLeases), Results);
+  ASSERT_EQ(D.Joiners.size(), 2u);
+  for (const JoinerStats &J : D.Joiners) {
+    EXPECT_EQ(J.Revocations, 0u);
+    EXPECT_FALSE(J.Reconnect);
+  }
+  expectIdenticalResults(Ref, D.Result);
+  expectSameDeterministicMetrics(RefReg.snapshot(), D.Metrics);
 }
 
 TEST(DistLoopback, CleanProgramCompletes) {
@@ -681,6 +748,103 @@ TEST(DistFaults, SilentJoinerIsRevokedByHeartbeatTimeout) {
   expectIdenticalResults(Ref, D.Result);
   expectSameDeterministicMetrics(RefReg.snapshot(), D.Metrics);
   EXPECT_GE(counterOf(D.Metrics, obs::Counter::DistLeaseRevoked), 1u);
+}
+
+TEST(DistFaults, DuplicateNeedWorkIsIgnored) {
+  // A joiner that asks again while holding a lease (as protocol-1
+  // joiners did after every result) keeps its lease: the duplicate is a
+  // no-op, not a violation that revokes the lease.
+  vm::Program Prog = racyCounter(3);
+  session::CheckpointMeta Meta = sampleMeta();
+  obs::MetricsRegistry RefReg;
+  search::SearchResult Ref = runSequential(Prog, Meta, &RefReg);
+  canonicalizeBugs(Ref);
+
+  LeaseRunner Runner = makeRunner(Prog, Meta);
+  DistRun D = runDistributed(
+      Prog, Meta, /*Joiners=*/1, /*JobsEach=*/1, /*Tweak=*/{},
+      /*BeforeWorkers=*/[&](uint16_t Port) {
+        RawClient Old;
+        ASSERT_TRUE(Old.connect(Port));
+        ASSERT_TRUE(Old.send(helloFrame(
+            ProtocolVersion, session::checkpointFormatVersion())));
+        JsonValue Frame;
+        ASSERT_TRUE(Old.read(Frame));
+        ASSERT_EQ(frameKind(Frame), "hello_ok");
+        ASSERT_TRUE(Old.send(needWorkFrame()));
+        ASSERT_TRUE(Old.send(needWorkFrame()));
+        ASSERT_TRUE(Old.read(Frame));
+        uint64_t Id = 0;
+        LeaseRequest Req;
+        ASSERT_TRUE(leaseFromJson(Frame, Id, Req));
+        ASSERT_TRUE(Req.Roots);
+        // Still the lease holder: its result is merged, and the result
+        // alone earns the next lease.
+        ASSERT_TRUE(Old.send(resultFrame(Id, Runner(Req))));
+        ASSERT_TRUE(Old.read(Frame));
+        ASSERT_TRUE(leaseFromJson(Frame, Id, Req));
+        ASSERT_FALSE(Req.Roots);
+        ASSERT_TRUE(Old.send(needWorkFrame()));
+        ASSERT_TRUE(Old.send(resultFrame(Id, Runner(Req))));
+        Old.close();
+      });
+
+  EXPECT_EQ(D.WorkerRcs[0], WorkerDone);
+  expectIdenticalResults(Ref, D.Result);
+  expectSameDeterministicMetrics(RefReg.snapshot(), D.Metrics);
+  // Both of its results were merged (the roots lease executes nothing);
+  // only the lease its last result earned can have been revoked, when it
+  // hung up.
+  ASSERT_GE(D.Joiners.size(), 2u);
+  EXPECT_GE(D.Joiners[0].Leases, 2u);
+  EXPECT_GT(D.Joiners[0].Executions, 0u);
+  EXPECT_LE(D.Joiners[0].Revocations, 1u);
+}
+
+TEST(DistFaults, ReconnectAfterFinishGetsDone) {
+  // A joiner whose hello reaches the coordinator after the run finished
+  // (say, a reconnect after a lost connection) must be told `done` at
+  // once. Unanswered, it would wait out 8 hello timeouts of 10 s each
+  // and exit 4. A bystander connection stays open past `done`, which
+  // keeps the coordinator in its end-of-run drain while the late joiner
+  // connects.
+  vm::Program Prog = racyCounter(2);
+  session::CheckpointMeta Meta = sampleMeta();
+  RawClient Bystander;
+  std::thread Late;
+  int LateRc = -1;
+  std::chrono::milliseconds LateTook{0};
+  DistRun D = runDistributed(
+      Prog, Meta, /*Joiners=*/1, /*JobsEach=*/1, /*Tweak=*/{},
+      /*BeforeWorkers=*/[&](uint16_t Port) {
+        ASSERT_TRUE(Bystander.connect(Port));
+        ASSERT_TRUE(Bystander.send(helloFrame(
+            ProtocolVersion, session::checkpointFormatVersion())));
+        JsonValue Frame;
+        ASSERT_TRUE(Bystander.read(Frame));
+        ASSERT_EQ(frameKind(Frame), "hello_ok");
+        Late = std::thread([&, Port] {
+          JsonValue Done;
+          ASSERT_TRUE(Bystander.read(Done));
+          ASSERT_EQ(frameKind(Done), "done"); // The run has finished.
+          WorkerOptions WO;
+          WO.Connect = "127.0.0.1:" + std::to_string(Port);
+          WO.Runner = [](const LeaseRequest &) { return LeaseResult(); };
+          auto Start = std::chrono::steady_clock::now();
+          Worker W(WO);
+          LateRc = W.run();
+          LateTook = std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::now() - Start);
+          EXPECT_EQ(W.leasesRun(), 0u);
+          Bystander.close();
+        });
+      });
+  if (Late.joinable())
+    Late.join();
+  EXPECT_EQ(D.WorkerRcs[0], WorkerDone);
+  EXPECT_EQ(LateRc, WorkerDone);
+  EXPECT_LT(LateTook.count(), 1000);
+  EXPECT_TRUE(D.Result.foundBug());
 }
 
 TEST(DistFaults, VersionMismatchIsRefused) {
@@ -800,6 +964,27 @@ struct StopCapture : search::EngineObserver {
 };
 
 } // namespace
+
+TEST(DistResume, FinalSnapshotKeepsTheBugs) {
+  // `--resume` of a finished run re-emits the final checkpoint's results,
+  // so the coordinator's final snapshot must carry the merged bugs.
+  struct FinalCapture : search::EngineObserver {
+    search::EngineSnapshot Snap;
+    void onCheckpoint(const search::EngineSnapshot &S) override {
+      if (S.Final)
+        Snap = S;
+    }
+  } Observer;
+  vm::Program Prog = racyCounter(3);
+  session::CheckpointMeta Meta = sampleMeta();
+  DistRun D = runDistributed(
+      Prog, Meta, /*Joiners=*/2, /*JobsEach=*/1,
+      [&](CoordinatorOptions &CO) { CO.Observer = &Observer; });
+  ASSERT_TRUE(D.Result.foundBug());
+  ASSERT_TRUE(Observer.Snap.Final);
+  EXPECT_EQ(Observer.Snap.Bugs.size(), D.Result.Bugs.size());
+  EXPECT_EQ(Observer.Snap.Stats.Executions, D.Result.Stats.Executions);
+}
 
 TEST(DistResume, StoppedServeResumesToIdenticalResult) {
   vm::Program Prog = racyCounter(3);

@@ -31,9 +31,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <unistd.h>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace icb;
@@ -42,6 +45,35 @@ using namespace icb::session;
 using icb::testutil::expectIdenticalResults;
 
 namespace {
+
+/// A fresh directory of the running test's own (mkdtemp under
+/// testing::TempDir()), removed with its contents at scope exit. ctest
+/// runs every test as its own process, concurrently under -j, so no two
+/// tests may share a file path.
+struct ScratchDir {
+  std::string Path;
+
+  ScratchDir() {
+    const testing::TestInfo *T =
+        testing::UnitTest::GetInstance()->current_test_info();
+    std::string Template = testing::TempDir() + "icb_" +
+                           T->test_suite_name() + "_" + T->name() +
+                           "_XXXXXX";
+    if (mkdtemp(Template.data()))
+      Path = Template;
+    EXPECT_FALSE(Path.empty()) << "mkdtemp failed for " << Template;
+  }
+  ScratchDir(const ScratchDir &) = delete;
+  ScratchDir &operator=(const ScratchDir &) = delete;
+
+  ~ScratchDir() {
+    std::error_code Ignored;
+    if (!Path.empty())
+      std::filesystem::remove_all(Path, Ignored);
+  }
+
+  std::string file(const std::string &Name) const { return Path + "/" + Name; }
+};
 
 //===----------------------------------------------------------------------===//
 // JSON layer
@@ -153,7 +185,8 @@ TEST(SessionJson, DigestHexCompactRoundTrip) {
 }
 
 TEST(SessionJson, AtomicWriteThenRead) {
-  std::string Path = testing::TempDir() + "icb_session_json_test.tmp";
+  ScratchDir Dir;
+  std::string Path = Dir.file("icb_session_json_test.tmp");
   std::string Error;
   ASSERT_TRUE(atomicWriteFile(Path, "payload", &Error)) << Error;
   std::string Back;
@@ -162,6 +195,62 @@ TEST(SessionJson, AtomicWriteThenRead) {
   std::remove(Path.c_str());
   EXPECT_FALSE(readFile(Path, Back, &Error));
   EXPECT_FALSE(Error.empty());
+}
+
+TEST(SessionJson, ConcurrentAtomicWritersNeverCollide) {
+  // Two writers replacing one path at once (two threads here; two test
+  // processes under ctest -j, or a checkpoint and a manifest flush) each
+  // write their own temp file, so neither's rename can fail or publish
+  // the other's half-written bytes.
+  ScratchDir Dir;
+  std::string Path = Dir.file("contended.json");
+  std::atomic<unsigned> Failures{0};
+  auto Writer = [&](char Fill) {
+    std::string Content(4096, Fill);
+    for (int I = 0; I != 200; ++I)
+      if (!atomicWriteFile(Path, Content, nullptr))
+        ++Failures;
+  };
+  std::thread A(Writer, 'a'), B(Writer, 'b');
+  A.join();
+  B.join();
+  EXPECT_EQ(Failures.load(), 0u);
+  std::string Back;
+  ASSERT_TRUE(readFile(Path, Back, nullptr));
+  ASSERT_EQ(Back.size(), 4096u);
+  EXPECT_TRUE(Back == std::string(4096, 'a') || Back == std::string(4096, 'b'));
+  // Every temp file was renamed away: only the target remains.
+  size_t Entries = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path)) {
+    (void)E;
+    ++Entries;
+  }
+  EXPECT_EQ(Entries, 1u);
+}
+
+TEST(SessionJson, StaleTempFilesAreSwept) {
+  // A writer killed between creating its temp file and renaming it leaves
+  // the temp file behind; the directory's next owner sweeps exactly those
+  // files and nothing else.
+  ScratchDir Dir;
+  std::string Path = Dir.file("checkpoint.json");
+  std::string Error;
+  ASSERT_TRUE(atomicWriteFile(Path, "kept", &Error)) << Error;
+  for (const char *Name : {"checkpoint.json.tmp.123.0",
+                           "checkpoint.json.tmp.456.7", "other.json.tmp.1.0",
+                           "checkpoint.jsonx"})
+    ASSERT_TRUE(atomicWriteFile(Dir.file(Name), "x", &Error)) << Error;
+  removeStaleTempFiles(Path);
+  std::vector<std::string> Left;
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
+    Left.push_back(E.path().filename().string());
+  std::sort(Left.begin(), Left.end());
+  EXPECT_EQ(Left, (std::vector<std::string>{"checkpoint.json",
+                                            "checkpoint.jsonx",
+                                            "other.json.tmp.1.0"}));
+  std::string Back;
+  ASSERT_TRUE(readFile(Path, Back, &Error)) << Error;
+  EXPECT_EQ(Back, "kept");
 }
 
 //===----------------------------------------------------------------------===//
@@ -383,7 +472,8 @@ TEST(SessionCheckpoint, SerializedSnapshotResumesIdentically) {
   Data.Snap = Probe.Resumable.back();
   Data.WallMillis = 42;
 
-  std::string Path = checkpointPath(testing::TempDir());
+  ScratchDir Dir;
+  std::string Path = checkpointPath(Dir.Path);
   std::string Error;
   ASSERT_TRUE(saveCheckpoint(Path, Data, &Error)) << Error;
   CheckpointData Loaded;
@@ -433,7 +523,8 @@ TEST(SessionCheckpoint, PorSnapshotRoundTripsThroughDisk) {
   Data.Meta.Limits.MaxPreemptionBound = 2;
   Data.Snap = Probe.Resumable.back();
 
-  std::string Path = checkpointPath(testing::TempDir());
+  ScratchDir Dir;
+  std::string Path = checkpointPath(Dir.Path);
   std::string Error;
   ASSERT_TRUE(saveCheckpoint(Path, Data, &Error)) << Error;
   CheckpointData Loaded;
@@ -471,7 +562,8 @@ TEST(SessionCheckpoint, EstimatorAndSitesSurviveDiskRoundTrip) {
   Data.Meta.Limits.MaxPreemptionBound = 2;
   Data.Snap = Probe.Resumable.back();
 
-  std::string Path = checkpointPath(testing::TempDir());
+  ScratchDir Dir;
+  std::string Path = checkpointPath(Dir.Path);
   std::string Error;
   ASSERT_TRUE(saveCheckpoint(Path, Data, &Error)) << Error;
   CheckpointData Loaded;
@@ -513,7 +605,8 @@ TEST(SessionCheckpoint, LoadsFormatVersionTwoFiles) {
   Data.Meta.Limits.MaxPreemptionBound = 2;
   Data.Snap = Probe.Resumable.back();
 
-  std::string Path = checkpointPath(testing::TempDir());
+  ScratchDir Dir;
+  std::string Path = checkpointPath(Dir.Path);
   std::string Error;
   ASSERT_TRUE(saveCheckpoint(Path, Data, &Error)) << Error;
   std::string Text;
@@ -585,7 +678,8 @@ TEST(SessionCheckpoint, LoadsAllOlderFormatVersions) {
   Data.Meta.Limits.MaxPreemptionBound = 2;
   Data.Snap = Probe.Resumable.back();
 
-  std::string Path = checkpointPath(testing::TempDir());
+  ScratchDir Dir;
+  std::string Path = checkpointPath(Dir.Path);
   std::string Error;
   ASSERT_TRUE(saveCheckpoint(Path, Data, &Error)) << Error;
   std::string Text;
@@ -651,7 +745,8 @@ TEST(SessionCheckpoint, LoadsAllOlderFormatVersions) {
 }
 
 TEST(SessionCheckpoint, LoadRejectsCorruptFiles) {
-  std::string Path = testing::TempDir() + "icb_corrupt_checkpoint.json";
+  ScratchDir Dir;
+  std::string Path = Dir.file("icb_corrupt_checkpoint.json");
   std::string Error;
   CheckpointData Out;
 
@@ -694,7 +789,8 @@ TEST(SessionRepro, RoundTripAndStrictReplay) {
                 C == '-' || C == '.')
         << "unsanitized character '" << C << "' in " << Name;
 
-  std::string Path = testing::TempDir() + Name;
+  ScratchDir Dir;
+  std::string Path = Dir.file(Name);
   std::string Error;
   ASSERT_TRUE(saveRepro(Path, A, &Error)) << Error;
   ReproArtifact Loaded;
@@ -742,7 +838,8 @@ TEST(SessionRepro, VmArtifactReplays) {
 }
 
 TEST(SessionRepro, LoadRejectsCorruptArtifacts) {
-  std::string Path = testing::TempDir() + "icb_corrupt.icbrepro";
+  ScratchDir Dir;
+  std::string Path = Dir.file("icb_corrupt.icbrepro");
   std::string Error;
   ReproArtifact Out;
   ASSERT_TRUE(atomicWriteFile(Path, "{\"icb_repro\": 1}", &Error)) << Error;
@@ -761,7 +858,8 @@ TEST(SessionRepro, BoundFieldRoundTripsAndGatesReplay) {
   // bytes of every pre-existing artifact are unchanged; they stay
   // compatible with an explicit preemption request and refuse any other
   // policy family.
-  std::string Path = testing::TempDir() + reproFileName(A);
+  ScratchDir Dir;
+  std::string Path = Dir.file(reproFileName(A));
   std::string Error;
   ASSERT_TRUE(saveRepro(Path, A, &Error)) << Error;
   std::string Text;
@@ -842,9 +940,9 @@ TEST(SessionMinimize, VmShrinksToSamePreemptionCount) {
 //===----------------------------------------------------------------------===//
 
 TEST(SessionDirLock, SecondAcquirerLosesUntilRelease) {
-  std::string Dir = testing::TempDir() + "icb_dirlock_test";
+  ScratchDir Scratch;
+  std::string Dir = Scratch.Path;
   std::string Error;
-  ASSERT_TRUE(ensureDir(Dir, &Error)) << Error;
 
   DirLock First;
   ASSERT_TRUE(First.acquire(Dir, &Error)) << Error;
@@ -865,7 +963,8 @@ TEST(SessionDirLock, SecondAcquirerLosesUntilRelease) {
 }
 
 TEST(SessionDirLock, AcquireFailsOnMissingDirectory) {
-  std::string Dir = testing::TempDir() + "icb_dirlock_never_created";
+  ScratchDir Scratch;
+  std::string Dir = Scratch.file("never_created");
   std::string Error;
   DirLock Lock;
   EXPECT_FALSE(Lock.acquire(Dir, &Error));
@@ -877,7 +976,8 @@ TEST(SessionCheckpoint, SinkSurvivesVanishingDirectory) {
   // A checkpoint directory removed mid-run (operator cleanup, tmpfs
   // reaper) must surface as a sticky sink error — the CLI maps it to
   // exit 4 — never a crash or a silent no-op.
-  std::string Dir = testing::TempDir() + "icb_vanishing_ckpt_dir";
+  ScratchDir Scratch;
+  std::string Dir = Scratch.file("vanishing");
   std::string Error;
   ASSERT_TRUE(ensureDir(Dir, &Error)) << Error;
 

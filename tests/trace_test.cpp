@@ -9,6 +9,7 @@
 #include "trace/TraceWriter.h"
 #include "trace/VectorClock.h"
 #include <gtest/gtest.h>
+#include <sstream>
 
 using namespace icb;
 using namespace icb::trace;
@@ -150,7 +151,11 @@ TEST(ScheduleTest, ParseRejectsMalformedTokens) {
       "0x1f",       // hex
       "1 2 3x",     // bad trailing token
       "4294967296", // Tid past UINT32_MAX
+      "1 4294967296*", // ... also after whitespace and with a marker
       "99999999999999999999", // past UINT64_MAX too
+      "1 *",        // marker-only token after whitespace
+      "0\t^ 1",     // ... after a tab, mid-schedule
+      "1\v2x",      // bad token after a vertical tab
   };
   for (const char *Text : Bad) {
     SCOPED_TRACE(Text);
@@ -173,12 +178,75 @@ TEST(ScheduleTest, ParseAcceptsBoundaryAndWhitespace) {
   EXPECT_TRUE(S.entry(2).ContextSwitch);
   EXPECT_FALSE(S.entry(2).Preemption);
 
+  // Every classic-locale whitespace character separates tokens.
+  ASSERT_TRUE(Schedule::parse("\v3\f4^\r5*\r\n", S));
+  ASSERT_EQ(S.length(), 3u);
+  EXPECT_EQ(S.entry(0).Tid, 3u);
+  EXPECT_EQ(S.entry(1).Tid, 4u);
+  EXPECT_TRUE(S.entry(1).ContextSwitch);
+  EXPECT_EQ(S.entry(2).Tid, 5u);
+  EXPECT_TRUE(S.entry(2).Preemption);
+
+  // Whitespace alone is the empty schedule; leading zeros are digits.
+  ASSERT_TRUE(Schedule::parse(" \t\n\v\f\r", S));
+  EXPECT_TRUE(S.empty());
+  ASSERT_TRUE(Schedule::parse("007", S));
+  ASSERT_EQ(S.length(), 1u);
+  EXPECT_EQ(S.entry(0).Tid, 7u);
+
   // The empty schedule round-trips too.
   Schedule Empty;
   ASSERT_TRUE(Schedule::parse("", Empty));
   EXPECT_TRUE(Empty.empty());
   ASSERT_TRUE(Schedule::parse(Schedule().str(), Empty));
   EXPECT_TRUE(Empty.empty());
+}
+
+TEST(ScheduleTest, ParseMatchesStreamTokenizer) {
+  // parse() is a pointer scan; its language is pinned to the stream
+  // tokenizer it replaced (operator>> on std::string: classic-locale
+  // whitespace), which is kept here as the oracle. Random strings over
+  // digits, markers, every whitespace character and a few strays.
+  auto Oracle = [](const std::string &Text, Schedule &Out) {
+    Out = Schedule();
+    std::istringstream In(Text);
+    std::string Token;
+    while (In >> Token) {
+      bool Preemption = Token.back() == '*';
+      bool Switch = Preemption || Token.back() == '^';
+      if (Switch)
+        Token.pop_back();
+      uint64_t Tid = 0;
+      bool Ok = !Token.empty();
+      for (char C : Token) {
+        Ok = Ok && C >= '0' && C <= '9';
+        Tid = Ok ? Tid * 10 + static_cast<uint64_t>(C - '0') : 0;
+        Ok = Ok && Tid <= UINT32_MAX;
+      }
+      if (!Ok) {
+        Out = Schedule();
+        return false;
+      }
+      Out.append(static_cast<uint32_t>(Tid), Preemption, Switch);
+    }
+    return true;
+  };
+  const char Alphabet[] = "0123456789999*^* \t\n\v\f\r  x+-";
+  uint32_t X = 2024;
+  for (int I = 0; I != 4000; ++I) {
+    std::string Text;
+    X = X * 1664525u + 1013904223u;
+    size_t Len = (X >> 24) % 24;
+    for (size_t J = 0; J != Len; ++J) {
+      X = X * 1664525u + 1013904223u;
+      Text += Alphabet[(X >> 16) % (sizeof(Alphabet) - 1)];
+    }
+    SCOPED_TRACE(Text);
+    Schedule Want, Got;
+    bool WantOk = Oracle(Text, Want);
+    EXPECT_EQ(Schedule::parse(Text, Got), WantOk);
+    EXPECT_TRUE(Got == Want);
+  }
 }
 
 TEST(ScheduleTest, RoundTripPreservesEveryEntry) {

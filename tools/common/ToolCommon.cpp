@@ -120,6 +120,9 @@ RunSession::RunSession(SessionState &S, const RunConfig &Config,
       Failed = true;
       return;
     }
+    // The lock makes this run the directory's only writer: sweep the temp
+    // files of a writer killed mid-checkpoint.
+    session::removeStaleTempFiles(session::checkpointPath(S.CheckpointDir));
     Guard = std::make_unique<session::SignalGuard>();
     Sink = std::make_unique<session::CheckpointSink>(
         S.CheckpointDir, S.CheckpointEvery, makeRunMeta(S, Config, Form),
